@@ -112,7 +112,7 @@ class Completion:
     :func:`wait_any`.  Producers signal; consumers never poll.
     """
 
-    __slots__ = ("_cond", "_flag", "_callbacks", "_stats")
+    __slots__ = ("_cond", "_flag", "_callbacks", "_stats", "__weakref__")
 
     def __init__(self, stats: Optional[WaitStats] = None):
         self._cond = make_condition("Completion._cond")

@@ -51,7 +51,7 @@ def _unique_bytes() -> bytes:
 class BaseID:
     """A fixed-width, hashable, immutable binary identifier."""
 
-    __slots__ = ("_binary", "_hex", "_hash")
+    __slots__ = ("_binary", "_short", "_hash")
 
     def __init__(self, binary: bytes):
         if not isinstance(binary, bytes) or len(binary) != ID_LENGTH:
@@ -60,7 +60,7 @@ class BaseID:
                 f"got {binary!r}"
             )
         object.__setattr__(self, "_binary", binary)
-        object.__setattr__(self, "_hex", None)
+        object.__setattr__(self, "_short", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -91,17 +91,18 @@ class BaseID:
         return self._binary
 
     def hex(self) -> str:
-        # Cached: trace events and log lines format the same ID repeatedly,
-        # so the hot submit path must not re-encode it per event.
-        value = self._hex
-        if value is None:
-            value = self._binary.hex()
-            object.__setattr__(self, "_hex", value)
-        return value
+        return self._binary.hex()
 
     def short(self) -> str:
-        """The 8-char hex prefix used in trace events and log lines."""
-        return self.hex()[:8]
+        """The 8-char hex prefix used in trace events and log lines.
+
+        Cached: every lifecycle event of a task carries it, so the events
+        share one string instead of each holding its own copy."""
+        value = self._short
+        if value is None:
+            value = self._binary[:4].hex()
+            object.__setattr__(self, "_short", value)
+        return value
 
     def __hash__(self) -> int:
         # Cached: IDs key every hot-path dict (task tables, stores, shard

@@ -174,13 +174,28 @@ class ActorManager:
             counter = state.submitted
             state.submitted += 1
         spec = state_spec_builder(counter)
-        gcs = self.runtime.gcs
-        # The task-table row must exist before the spec can reach the actor
-        # thread: the method may start the instant it lands in the mailbox,
-        # and its first act is an update_task_status against that row.  (With
-        # any real GCS write latency the actor reliably wins that race.)
-        gcs.add_task(spec.task_id, spec)
-        gcs.kv.append((_ACTOR_LOG, actor_id), spec)
+        runtime = self.runtime
+        # One write, before the spec can reach the actor thread (the method
+        # may start the instant it lands in the mailbox): the task row, the
+        # durable method-log entry, and the ``task_submitted`` event.  No
+        # existence read: the task ID is salted with this fresh counter, so
+        # the row can never already exist.
+        events = None
+        if runtime.config.trace_events_enabled:
+            events = [(
+                "task_submitted",
+                dict(
+                    task=spec.task_id.short(),
+                    name=spec.function_name,
+                    t=time.perf_counter(),
+                ),
+            )]
+        runtime.gcs.write_tasks(
+            [(spec, TaskStatus.PENDING, None)],
+            events=events,
+            logs=[((_ACTOR_LOG, actor_id), spec)],
+            batched=runtime.config.gcs_batched_writes,
+        )
         if state.dead_forever:
             self._store_method_error(state, spec)
             return spec
@@ -393,13 +408,7 @@ class ActorManager:
         if is_replay:
             with self._lock:
                 self.replayed_methods += 1
-        runtime.trace_event(
-            "task_scheduled",
-            task=spec.task_id.hex()[:8],
-            name=spec.function_name,
-            node=node.node_id.hex()[:8],
-            t=time.perf_counter(),
-        )
+        scheduled_at = time.perf_counter()
         runtime.fetcher.prefetch(spec.dependencies(), node)
         for dep in spec.dependencies():
             if not runtime.fetch_to_node(
@@ -409,14 +418,24 @@ class ActorManager:
                 interrupt=interrupt,
             ):
                 return
-        runtime.trace_event(
-            "task_inputs_ready",
-            task=spec.task_id.hex()[:8],
-            name=spec.function_name,
-            node=node.node_id.hex()[:8],
-            t=time.perf_counter(),
+        # One write once the inputs are local: the row born RUNNING on this
+        # node plus the method's task_scheduled/task_inputs_ready events.
+        events = None
+        if runtime.config.trace_events_enabled:
+            base = dict(
+                task=spec.task_id.short(),
+                name=spec.function_name,
+                node=node.node_id.short(),
+            )
+            events = [
+                ("task_scheduled", dict(base, t=scheduled_at)),
+                ("task_inputs_ready", dict(base, t=time.perf_counter())),
+            ]
+        gcs.write_tasks(
+            [(spec, TaskStatus.RUNNING, node.node_id)],
+            events=events,
+            batched=runtime.config.gcs_batched_writes,
         )
-        gcs.update_task_status(spec.task_id, TaskStatus.RUNNING, node_id=node.node_id)
         started = time.perf_counter()
         status = TaskStatus.FINISHED
         deps = spec.dependencies()

@@ -20,12 +20,18 @@ the local scheduler pulls any missing inputs via the object fetcher and
 dispatches the task to a worker when all inputs are local and its resources
 are available.
 
+Placement is decided before anything is written: a submission writes each
+task row once, born in its decided state (RUNNING on the fast path,
+SCHEDULED when placed here, PENDING when forwarded), together with its
+lifecycle events in one GCS write, and only then dispatches, enqueues, or
+forwards it.
+
 Two throughput mechanisms sit on top of that checked pipeline:
 
 * a **submit fast path** — when the node is idle enough that the spillback
   policy would keep the task local anyway, and its inputs are already
-  local, submission dispatches straight to a worker (one RUNNING status
-  write; no global-scheduler hop, no dispatcher queue round-trip), and
+  local, submission dispatches straight to a worker (the row is born
+  RUNNING; no global-scheduler hop, no dispatcher queue round-trip), and
 * a **persistent worker pool** — workers park on a queue between tasks, so
   dispatch costs a queue hand-off instead of a per-task thread spawn.
 
@@ -69,6 +75,14 @@ class _PendingBacklogView(RuntimeNodeView):
 
     def backlog(self) -> int:
         return super().backlog() + self._extra
+
+
+def _submitted_event(spec: TaskSpec, now: float) -> tuple:
+    """The ``task_submitted`` trace event of a fresh submission."""
+    return (
+        "task_submitted",
+        dict(task=spec.task_id.short(), name=spec.function_name, t=now),
+    )
 
 
 def _policy_fastpath_trustworthy(policy) -> bool:
@@ -115,7 +129,6 @@ class LocalScheduler:
         self._execute = execute
         self.spillback_threshold = spillback_threshold
         self._spillback = make_spillback(spillback, threshold=spillback_threshold)
-        self._node_view = RuntimeNodeView(node, 0)
         self._wait_stats = wait_stats
         self._trace = trace
         self._faults = faults if faults is not None else NULL_FAULTS
@@ -145,7 +158,7 @@ class LocalScheduler:
         self.forwarded = 0
 
         metrics = metrics or NULL_REGISTRY
-        node_label = node.node_id.hex()[:8]
+        node_label = node.node_id.short()
         self._node_hex = node_label
         self._m_placed = metrics.counter(
             "scheduler_tasks_placed_total", "Tasks placed on this node",
@@ -185,27 +198,63 @@ class LocalScheduler:
 
     def submit(self, spec: TaskSpec) -> None:
         """A co-located driver or worker created this task."""
-        if self._fastpath and self._try_fastpath(spec):
-            return
-        if (
-            not self.node.alive
-            or not self.node.resources.can_ever_satisfy(spec.resources)
-            or self._spillback.should_forward(
-                TaskView(
-                    key=spec.task_id,
-                    name=spec.function_name,
-                    resources=spec.resources,
-                    deps_fn=spec.dependencies,
-                ),
-                self._node_view,
-            )
-        ):
-            self.forwarded += 1
-            self._m_spillbacks.inc()
+        if not (self._fastpath and self._try_fastpath(spec)):
+            self._admit([spec], self._batched_writes)
+
+    def submit_many(
+        self, specs: List[TaskSpec], batched: Optional[bool] = None
+    ) -> None:
+        """Submit one ``submit_many`` batch created on this node.
+
+        Decisions match per-spec :meth:`submit` exactly — the spillback
+        policy sees the backlog grow as earlier batch members are admitted
+        — and the whole batch's rows and events go out in one write.  The
+        single-submission fast path is not consulted: a batch already
+        amortizes its one write, and fast-pathing its head would let it
+        overtake nothing.  ``batched`` overrides the node's write setting
+        for this batch (``submit_many(..., batched=False)``).
+        """
+        self._admit(
+            specs, self._batched_writes if batched is None else batched
+        )
+
+    def _admit(self, specs: List[TaskSpec], batched: bool) -> None:
+        """Decide local-vs-forward for fresh submissions, then write every
+        row once, born in its decided state, with its ``task_submitted``
+        event: placed specs SCHEDULED (via :meth:`_place`), forwarded specs
+        PENDING — all in one write, before any is forwarded."""
+        local: List[TaskSpec] = []
+        forward: List[TaskSpec] = []
+        for spec in specs:
+            if (
+                not self.node.alive
+                or not self.node.resources.can_ever_satisfy(spec.resources)
+                or self._spillback.should_forward(
+                    TaskView(
+                        key=spec.task_id,
+                        name=spec.function_name,
+                        resources=spec.resources,
+                        deps_fn=spec.dependencies,
+                    ),
+                    _PendingBacklogView(self.node, len(local)),
+                )
+            ):
+                forward.append(spec)
+            else:
+                local.append(spec)
+        self.forwarded += len(forward)
+        self._m_spillbacks.inc(len(forward))
+        self.scheduled_locally += len(local)
+        events = []
+        if self._trace is not None:
+            now = time.perf_counter()
+            events = [_submitted_event(spec, now) for spec in specs]
+        self._place(
+            local, [(spec, TaskStatus.PENDING, None) for spec in forward],
+            events, batched,
+        )
+        for spec in forward:
             self._forward_to_global(spec)
-            return
-        self.scheduled_locally += 1
-        self.place(spec)
 
     def _try_fastpath(self, spec: TaskSpec) -> bool:
         """Dispatch a fresh submission straight to a worker, if it is safe.
@@ -214,10 +263,15 @@ class LocalScheduler:
         local, resources free, and the spillback policy confirms the task
         would have stayed local anyway — the whole submit→dispatch pipeline
         (global-scheduler hop, ``ClusterView`` construction, the SCHEDULED
-        status write, the dispatcher queue round-trip) collapses into one
-        RUNNING status write and a hand-off to a pooled worker.  Any check
-        failing falls back to the ordinary checked path; the shortcut never
-        changes *where* a task runs, only how many hops it takes to start.
+        state, the dispatcher queue round-trip) collapses into one write —
+        the row born RUNNING on this node plus its ``task_submitted`` and
+        ``task_scheduled(policy="fastpath")`` events — and a hand-off to a
+        pooled worker.  No ``task_inputs_ready`` is written: the inputs
+        were local by definition, and ``Timeline`` derives it.  The row is
+        durable before the task enters ``_running``, so ``kill_node`` never
+        sees a running task without a row.  Any check failing falls back
+        to the ordinary checked path; the shortcut never changes *where* a
+        task runs, only how many hops it takes to start.
         """
         node = self.node
         if not node.alive:
@@ -237,242 +291,146 @@ class LocalScheduler:
                 return False
             if not node.resources.try_acquire(spec.resources):
                 return False
-        # Placement-fault parity with ``place()``: a kill injected at
-        # placement must be discovered by the placement that triggered it.
-        if self._faults.enabled:
-            self._faults.on_place(node.node_id)
-            if not node.alive:
-                node.resources.release(spec.resources)
-                return False
-        with self._cond:
-            if self._stopped:
-                # ``kill_node`` ran between the checks above and here; its
-                # drain/running snapshots (serialized by this condition)
-                # never saw the task, so hand it back for rerouting.
-                bounced = True
-            else:
-                bounced = False
-                self._running.add(spec.task_id)
-        if bounced:
-            node.resources.release(spec.resources)
-            return False
-        self.scheduled_locally += 1
-        self._m_placed.inc()
-        self._m_fastpath.inc()
-        # One coalesced write instead of SCHEDULED-then-RUNNING plus two
-        # event appends: the kill and reconstruction paths treat both
-        # states identically (in flight on this node), so the intermediate
-        # write carries no information, and the lifecycle events ride in
-        # the same batch.
         events = None
         if self._trace is not None:
             now = time.perf_counter()
-            task_hex = spec.task_id.short()
-            base = dict(
-                task=task_hex, name=spec.function_name, node=self._node_hex,
-                t=now,
-            )
-            events = [
-                ("task_scheduled", dict(base, policy="fastpath")),
-                ("task_inputs_ready", base),
-            ]
-        self.gcs.set_task_states(
+            scheduled = self._event("task_scheduled", spec, now)
+            scheduled[1]["policy"] = "fastpath"
+            events = [_submitted_event(spec, now), scheduled]
+        self.gcs.write_tasks(
             [(spec, TaskStatus.RUNNING, node.node_id)],
             events=events,
             batched=self._batched_writes,
         )
+        # Placement-fault parity with ``place()``: a kill injected at
+        # placement must be discovered by the placement that triggered it.
+        if self._faults.enabled:
+            self._faults.on_place(node.node_id)
+        with self._cond:
+            # ``kill_node`` ran after the reservation: its drain/running
+            # snapshots (serialized by this condition) never saw the task.
+            bounced = self._stopped
+            if not bounced:
+                self._running.add(spec.task_id)
+        if bounced:
+            # Re-route; the new placement overwrites the RUNNING row.
+            node.resources.release(spec.resources)
+            self.forwarded += 1
+            self._m_spillbacks.inc()
+            self._forward_to_global(spec)
+            return True
+        self.scheduled_locally += 1
+        self._m_placed.inc()
+        self._m_fastpath.inc()
         self._dispatch_to_worker(spec, already_running=True)
         return True
-
-    def submit_many(self, specs: List[TaskSpec]) -> None:
-        """Submit one ``submit_many`` batch created on this node.
-
-        Decisions match per-spec :meth:`submit` exactly — the spillback
-        policy sees the backlog grow as earlier batch members are admitted
-        — but every task kept here is placed through :meth:`place_many`,
-        whose whole-batch SCHEDULED write replaces one control round-trip
-        per task.  The single-submission fast path is deliberately *not*
-        consulted here: it pays one control write per task in the
-        submitting thread, which is exactly what a batch must avoid.
-        """
-        place_batch: List[TaskSpec] = []
-        for spec in specs:
-            if (
-                not self.node.alive
-                or not self.node.resources.can_ever_satisfy(spec.resources)
-                or self._spillback.should_forward(
-                    TaskView(
-                        key=spec.task_id,
-                        name=spec.function_name,
-                        resources=spec.resources,
-                        deps_fn=spec.dependencies,
-                    ),
-                    _PendingBacklogView(self.node, len(place_batch)),
-                )
-            ):
-                self.forwarded += 1
-                self._m_spillbacks.inc()
-                self._forward_to_global(spec)
-                continue
-            self.scheduled_locally += 1
-            place_batch.append(spec)
-        if place_batch:
-            self.place_many(place_batch)
 
     # -- placement ------------------------------------------------------------
 
     def place(self, spec: TaskSpec) -> None:
         """This node has been chosen to run ``spec``."""
+        self._place([spec])
+
+    def place_many(self, specs: List[TaskSpec]) -> None:
+        """Place a batch chosen for this node: per-spec ``place()``
+        semantics, one write for the whole batch."""
+        self._place(specs)
+
+    def _place(
+        self,
+        specs: List[TaskSpec],
+        rows: Optional[List[tuple]] = None,
+        events: Optional[List[tuple]] = None,
+        batched: Optional[bool] = None,
+    ) -> None:
+        """Place ``specs`` here: one write carries their SCHEDULED rows and
+        ``task_scheduled``/``task_inputs_ready`` events, after ``rows`` and
+        ``events`` a submission passes in (its forwarded PENDING rows and
+        ``task_submitted`` events); then the ready ones are enqueued under
+        one condition acquisition with a single wake-up and the rest wait
+        for their inputs.  Specs that find the node dead are written
+        PENDING and forwarded to a global scheduler instead.
+        """
+        node = self.node
+        rows = list(rows or ())
+        events = list(events or ())
         if self._faults.enabled:
             # An ``at_placement`` fault fires *here*, before the alive
             # check, so a kill injected mid-placement is discovered by the
             # very placement that triggered it and spills back to global.
-            self._faults.on_place(self.node.node_id)
-        if not self.node.alive:
+            for _ in specs:
+                self._faults.on_place(node.node_id)
+        bounced: List[TaskSpec] = []
+        if specs and not node.alive:
             # Placed on a node that died in the meantime: bounce to global.
-            self._forward_to_global(spec)
-            return
-        self.gcs.update_task_status(
-            spec.task_id, TaskStatus.SCHEDULED, node_id=self.node.node_id
-        )
-        self._m_placed.inc()
-        self._emit("task_scheduled", spec)
-        missing = {
-            dep
-            for dep in spec.dependencies()
-            if not self.node.store.contains(dep)
-        }
-        if not missing:
-            self._emit("task_inputs_ready", spec)
-            self._enqueue_ready(spec)
-            return
-        with self._cond:
-            if self._stopped:
-                # The node died between the alive check above and here: a
-                # spec registered now would be invisible to the kill path's
-                # drain (it already ran) and lost forever.  stop()/drain()
-                # hold this condition, so the check is authoritative.
-                bounced = True
+            bounced, specs = specs, []
+            rows.extend((spec, TaskStatus.PENDING, None) for spec in bounced)
+        ready: List[TaskSpec] = []
+        waiting: List[tuple] = []
+        for spec in specs:
+            missing = {
+                dep for dep in spec.dependencies() if not node.store.contains(dep)
+            }
+            if missing:
+                waiting.append((spec, missing))
             else:
-                bounced = False
-                self._waiting[spec.task_id] = set(missing)
-                self._waiting_specs[spec.task_id] = spec
-        if bounced:
+                ready.append(spec)
+        rows.extend((spec, TaskStatus.SCHEDULED, node.node_id) for spec in specs)
+        if self._trace is not None:
+            now = time.perf_counter()
+            events.extend(self._event("task_scheduled", spec, now) for spec in specs)
+            events.extend(self._event("task_inputs_ready", spec, now) for spec in ready)
+        if rows or events:
+            self.gcs.write_tasks(
+                rows,
+                events=events,
+                batched=self._batched_writes if batched is None else batched,
+            )
+        self._m_placed.inc(len(specs))
+        if specs:
+            with self._cond:
+                if self._stopped:
+                    # The node died between the alive check above and here:
+                    # a spec registered now would be invisible to the kill
+                    # path's drain (it already ran) and lost forever.
+                    # stop()/drain() hold this condition, so the check is
+                    # authoritative.  None of the batch registers.
+                    bounced.extend(specs)
+                    waiting = []
+                else:
+                    for spec, missing in waiting:
+                        self._waiting[spec.task_id] = set(missing)
+                        self._waiting_specs[spec.task_id] = spec
+                    if ready:
+                        now_mono = time.monotonic()
+                        for spec in ready:
+                            self._ready.append(spec)
+                            self._ready_since[spec.task_id] = now_mono
+                        self._cond.notify_all()
+        for spec in bounced:
             self._forward_to_global(spec)
-            return
         # Register every readiness callback first (fires immediately for
         # anything already arrived), then fan the fetches out to the
         # prefetch pool so the missing inputs replicate in parallel.
-        for dep in missing:
-            self.node.store.on_available(
-                dep, lambda oid, tid=spec.task_id: self._input_ready(tid, oid)
-            )
-        self.fetcher.prefetch(list(missing), self.node)
-
-    def place_many(self, specs: List[TaskSpec]) -> None:
-        """Place a batch chosen for this node.
-
-        Semantically ``place()`` per spec, but the whole batch's SCHEDULED
-        rows and ``task_scheduled``/``task_inputs_ready`` events coalesce
-        into one shard write, and the ready sub-batch is enqueued under one
-        condition acquisition with a single wake-up.
-        """
-        node = self.node
-        if self._faults.enabled:
-            # One placement trigger per task, as on the per-spec path.
-            for _ in specs:
-                self._faults.on_place(node.node_id)
-        if not node.alive:
-            for spec in specs:
-                self._forward_to_global(spec)
-            return
-        ready: List[TaskSpec] = []
-        missing_by_spec: List[tuple] = []
-        for spec in specs:
-            missing = {
-                dep
-                for dep in spec.dependencies()
-                if not node.store.contains(dep)
-            }
-            if missing:
-                missing_by_spec.append((spec, missing))
-            else:
-                ready.append(spec)
-        events = None
-        if self._trace is not None:
-            now = time.perf_counter()
-            events = [
-                (
-                    "task_scheduled",
-                    dict(
-                        task=spec.task_id.short(),
-                        name=spec.function_name,
-                        node=self._node_hex,
-                        t=now,
-                    ),
-                )
-                for spec in specs
-            ]
-            events.extend(
-                (
-                    "task_inputs_ready",
-                    dict(
-                        task=spec.task_id.short(),
-                        name=spec.function_name,
-                        node=self._node_hex,
-                        t=now,
-                    ),
-                )
-                for spec in ready
-            )
-        self.gcs.set_task_states(
-            [(spec, TaskStatus.SCHEDULED, node.node_id) for spec in specs],
-            events=events,
-            batched=self._batched_writes,
-        )
-        self._m_placed.inc(len(specs))
-        with self._cond:
-            if self._stopped:
-                bounced = True
-            else:
-                bounced = False
-                for spec, missing in missing_by_spec:
-                    self._waiting[spec.task_id] = set(missing)
-                    self._waiting_specs[spec.task_id] = spec
-                if ready:
-                    now_mono = time.monotonic()
-                    for spec in ready:
-                        self._ready.append(spec)
-                        self._ready_since[spec.task_id] = now_mono
-                    self._cond.notify_all()
-        if bounced:
-            # Stopped between the alive check and registration (see
-            # ``place``): none of the batch was registered — reroute all.
-            for spec in specs:
-                self._forward_to_global(spec)
-            return
         all_missing: List[ObjectID] = []
-        for spec, missing in missing_by_spec:
+        for spec, missing in waiting:
             for dep in missing:
-                self.node.store.on_available(
-                    dep,
-                    lambda oid, tid=spec.task_id: self._input_ready(tid, oid),
+                node.store.on_available(
+                    dep, lambda oid, tid=spec.task_id: self._input_ready(tid, oid)
                 )
             all_missing.extend(missing)
         if all_missing:
             self.fetcher.prefetch(all_missing, node)
 
-    def _emit(self, category: str, spec: TaskSpec, **extra) -> None:
-        """Record a task-lifecycle trace event (never under ``_cond``)."""
-        if self._trace is not None:
-            self._trace(
-                category,
-                task=spec.task_id.short(),
-                name=spec.function_name,
-                node=self._node_hex,
-                t=time.perf_counter(),
-                **extra,
-            )
+    def _event(self, category: str, spec: TaskSpec, now: float) -> tuple:
+        """A task-lifecycle trace event of this node, for a batched write."""
+        return (
+            category,
+            dict(
+                task=spec.task_id.short(), name=spec.function_name,
+                node=self._node_hex, t=now,
+            ),
+        )
 
     def _input_ready(self, task_id: TaskID, object_id: ObjectID) -> None:
         with self._cond:
@@ -486,7 +444,11 @@ class LocalScheduler:
             spec = self._waiting_specs.pop(task_id)
         # Emit before enqueueing (and outside the lock): once dispatched the
         # span boundaries must already be in the log.
-        self._emit("task_inputs_ready", spec)
+        if self._trace is not None:
+            category, payload = self._event(
+                "task_inputs_ready", spec, time.perf_counter()
+            )
+            self._trace(category, **payload)
         self._enqueue_ready(spec)
 
     def _enqueue_ready(self, spec: TaskSpec) -> None:
@@ -545,7 +507,7 @@ class LocalScheduler:
                 # from the specs in hand — no read-modify-write), then
                 # queue hand-offs; the per-task write is skipped by the
                 # workers (``status_already_running``).
-                self.gcs.set_task_states(
+                self.gcs.write_tasks(
                     [
                         (spec, TaskStatus.RUNNING, self.node.node_id)
                         for spec in batch

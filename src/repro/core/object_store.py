@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -171,7 +172,14 @@ class LocalObjectStore:
         self._pins: Dict[ObjectID, int] = {}
         self._used_bytes = 0
         self._wait_stats = wait_stats
-        self._events: Dict[ObjectID, Completion] = {}
+        # Availability completions: every live one is findable here, but
+        # only unset ones are held strongly (``_pending``) — a set
+        # completion lives exactly as long as a waiter holds it, so objects
+        # that were waited on once do not keep a Completion forever.
+        self._events: "weakref.WeakValueDictionary[ObjectID, Completion]" = (
+            weakref.WeakValueDictionary()
+        )
+        self._pending: Dict[ObjectID, Completion] = {}
         # Per-ID removal counter: an in-flight deserialization only enters
         # the value cache if the version it read is still current.
         self._versions: Dict[ObjectID, int] = {}
@@ -184,7 +192,7 @@ class LocalObjectStore:
         if spill_directory is not None:
             os.makedirs(spill_directory, exist_ok=True)
         metrics = metrics or NULL_REGISTRY
-        node = node_id.hex()[:8]
+        node = node_id.short()
         self.value_cache: Optional[DeserializedValueCache] = None
         if value_cache_enabled:
             self.value_cache = DeserializedValueCache(
@@ -256,7 +264,7 @@ class LocalObjectStore:
             self._used_bytes += value.total_bytes
             self.put_count += 1
             self._m_puts.inc()
-            completion = self._events.get(object_id)
+            completion = self._pending.pop(object_id, None)
         # Signal outside the store lock: waiter callbacks (scheduler input-
         # ready, fetcher bookkeeping) take their own locks.
         if completion is not None:
@@ -331,9 +339,7 @@ class LocalObjectStore:
             if value is not None:
                 self._used_bytes -= value.total_bytes
             self._invalidate_value(object_id)
-            event = self._events.get(object_id)
-            if event is not None:
-                event.clear()  # waiters re-arm; a re-put sets it again
+            self._rearm(object_id)  # waiters re-arm; a re-put sets it again
             return True
 
     def _invalidate_value(self, object_id: ObjectID) -> None:
@@ -391,9 +397,7 @@ class LocalObjectStore:
             if self._spill_directory is not None:
                 self._spill_to_disk(object_id, value)
                 continue  # still available: no event clear, no callback
-            event = self._events.get(object_id)
-            if event is not None:
-                event.clear()
+            self._rearm(object_id)
             evicted.append(object_id)
         if self._used_bytes > target_bytes:
             raise ObjectStoreFullError(
@@ -450,15 +454,24 @@ class LocalObjectStore:
         """A completion signalled when (or already if) the object is local."""
         with self._lock:
             completion = self._events.get(object_id)
-            if completion is None:
-                completion = Completion(stats=self._wait_stats)
-                self._events[object_id] = completion
-                present = object_id in self._objects or object_id in self._spilled
-            else:
+            if completion is not None:
                 return completion
+            completion = Completion(stats=self._wait_stats)
+            self._events[object_id] = completion
+            present = object_id in self._objects or object_id in self._spilled
+            if not present:
+                self._pending[object_id] = completion
         if present:
             completion.set()
         return completion
+
+    def _rearm(self, object_id: ObjectID) -> None:
+        """The object left the store (lock held): clear its completion, if
+        anyone holds one, and hold it strongly until the next put."""
+        completion = self._events.get(object_id)
+        if completion is not None:
+            completion.clear()
+            self._pending[object_id] = completion
 
     def on_available(
         self, object_id: ObjectID, callback: Callable[[ObjectID], None]
@@ -499,6 +512,6 @@ class LocalObjectStore:
             self._used_bytes = 0
             if self.value_cache is not None:
                 self.value_cache.clear()
-            for event in self._events.values():
-                event.clear()
+            for object_id in list(self._events.keys()):
+                self._rearm(object_id)
             return lost

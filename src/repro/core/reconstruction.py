@@ -93,7 +93,7 @@ class ReconstructionManager:
         runtime.gcs.update_task_status(task_id, TaskStatus.PENDING)
         runtime.gcs.record_event(
             "task_reconstructed",
-            task=task_id.hex()[:8],
+            task=task_id.short(),
             name=spec.function_name,
         )
         # The replayed execution may re-submit children that already have

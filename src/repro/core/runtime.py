@@ -257,7 +257,7 @@ class Node:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Node({self.node_id.hex()[:8]}, alive={self.alive})"
+        return f"Node({self.node_id.short()}, alive={self.alive})"
 
 
 class Runtime:
@@ -481,7 +481,7 @@ class Runtime:
         # clean if the node is restarted.
         self.fetcher.forget_node(node_id)
         self._detach_reporter(node_id, tombstone=True)
-        self.gcs.record_event("node_death", node=node_id.hex()[:8], lost=len(lost))
+        self.gcs.record_event("node_death", node=node_id.short(), lost=len(lost))
         for spec in drained:
             if spec.actor_id is None:
                 self.gcs.update_task_status(spec.task_id, TaskStatus.PENDING)
@@ -538,7 +538,7 @@ class Runtime:
             self._nodes[node_id] = node
         self.transfer.register_node(node)
         self._attach_reporter(node)
-        self.gcs.record_event("node_restart", node=node_id.hex()[:8])
+        self.gcs.record_event("node_restart", node=node_id.short())
         return node
 
     # ------------------------------------------------------------------
@@ -649,8 +649,7 @@ class Runtime:
         restored = self.flusher.restore_task(task_id)
         if restored is None:
             return None
-        self.gcs.add_task(task_id, restored.spec)
-        self.gcs.update_task_status(task_id, restored.status)
+        self.gcs.write_tasks([(restored.spec, restored.status, None)])
         return self.gcs.get_task(task_id)
 
     def record_task_retry(
@@ -660,7 +659,7 @@ class Runtime:
         self._m_retries.inc()
         self.trace_event(
             "task_retry",
-            task=spec.task_id.hex()[:8],
+            task=spec.task_id.short(),
             name=spec.function_name,
             attempt=attempt + 1,
             error=type(exc).__name__,
@@ -759,7 +758,7 @@ class Runtime:
         self._m_cancelled.inc()
         self.trace_event(
             "task_cancelled",
-            task=task_id.hex()[:8],
+            task=task_id.short(),
             name=spec.function_name if spec is not None else "?",
             force=force,
         )
@@ -790,7 +789,7 @@ class Runtime:
             event=(
                 "task_finished",
                 dict(
-                    task=spec.task_id.hex()[:8],
+                    task=spec.task_id.short(),
                     name=spec.function_name,
                     node="-",
                     start=time.perf_counter(),
@@ -849,14 +848,16 @@ class Runtime:
         max_retries: int = 0,
         retry_exceptions: Optional[Tuple[type, ...]] = None,
     ) -> Tuple[ObjectID, ...]:
-        """Create and route a task; returns its future object IDs.
+        """Create and route one task; returns its future object IDs.
 
-        Args must already be encoded (ObjectRefs replaced by ArgRef).
+        A batch of one through the :meth:`submit_many` pipeline: the spec
+        goes to the local scheduler before any GCS write, and the scheduler
+        writes its row once, in the state it decides.  Args must already be
+        encoded (ObjectRefs replaced by ArgRef).
         """
         parent, index, node = self._submission_context()
-        task_id = deterministic_task_id(parent, index)
         spec = TaskSpec(
-            task_id=task_id,
+            task_id=deterministic_task_id(parent, index),
             function_id=function_id,
             function_name=function_name,
             args=tuple(args),
@@ -867,58 +868,9 @@ class Runtime:
             max_retries=max_retries,
             retry_exceptions=retry_exceptions,
         )
-        if context.in_replay():
-            # Replay of a parent re-running its submissions: the child may
-            # already have a row — take the checked (existence-verified)
-            # path and skip re-placement if it is finished or in flight.
-            if not self._admit_replayed_task(spec):
-                return spec.return_ids
-        else:
-            # First submission: the deterministic (parent, index) pair has
-            # never been used, so the task row cannot exist — skip the
-            # replay-existence read entirely.
-            self.gcs.add_task(task_id, spec, check_existing=False)
-        self._m_tasks_submitted.inc()
-        if self._trace_enabled:
-            self.gcs.record_event(
-                "task_submitted",
-                task=task_id.short(),
-                name=function_name,
-                t=time.perf_counter(),
-            )
-        self.graph.add_task(spec)
-        node.local_scheduler.submit(spec)
+        for admitted in self._admit_submissions([spec]):
+            node.local_scheduler.submit(admitted)
         return spec.return_ids
-
-    def _admit_replayed_task(self, spec: TaskSpec) -> bool:
-        """Existence check for a possibly-replayed submission.
-
-        Returns True if the task should be (re)placed: either it is new
-        (row added) or its previous execution is dead with lost outputs.
-        Returns False when its outputs still exist or it is in flight on a
-        live node — the caller returns the deterministic futures as-is.
-        """
-        task_id = spec.task_id
-        existing = self.gcs.get_task(task_id)
-        if existing is None:
-            self.gcs.add_task(task_id, spec)
-            return True
-        if existing.status == TaskStatus.FINISHED and all(
-            self.transfer.live_locations(oid) for oid in spec.return_ids
-        ):
-            return False
-        if existing.status in (
-            TaskStatus.PENDING,
-            TaskStatus.SCHEDULED,
-            TaskStatus.RUNNING,
-        ):
-            running_node = (
-                self.transfer.node(existing.node_id) if existing.node_id else None
-            )
-            if running_node is not None and running_node.alive:
-                return False
-        self.gcs.update_task_status(task_id, TaskStatus.PENDING)
-        return True
 
     def submit_many(
         self,
@@ -934,17 +886,15 @@ class Runtime:
         """Submit many invocations of one function in one batch.
 
         ``calls`` is a sequence of ``(args, kwargs)`` pairs (already
-        encoded).  The task-row adds and ``task_submitted`` trace events of
-        the whole batch coalesce into one ``ShardedKV.batch`` per shard —
-        the submit-side mirror of the finish-side batching — and every spec
+        encoded).  The local scheduler writes the whole batch's task rows
+        and ``task_submitted`` events in one ``ShardedKV.batch`` — the
+        submit-side mirror of the finish-side batching — and every spec
         shares one resources dict.  Returns one return-ID tuple per call.
         ``batched`` defaults to ``config.gcs_batched_writes``;
         ``batched=False`` keeps the per-op ablation path honest.
         """
         if not calls:
             return []
-        if batched is None:
-            batched = self.config.gcs_batched_writes
         parent, first, node = self._submission_context_many(len(calls))
         if resources is None:
             resources = normalize_resources()
@@ -963,39 +913,50 @@ class Runtime:
             )
             for offset, (args, kwargs) in enumerate(calls)
         ]
+        admitted = self._admit_submissions(specs)
+        if admitted:
+            node.local_scheduler.submit_many(admitted, batched=batched)
+        return [spec.return_ids for spec in specs]
+
+    def _admit_submissions(self, specs: List[TaskSpec]) -> List[TaskSpec]:
+        """The specs of a submission that must be placed, recorded in the
+        task graph.  A first submission's deterministic (parent, index) IDs
+        have never been used, so every spec is new; a replayed parent
+        re-running its submissions takes the checked path per spec."""
         if context.in_replay():
-            # Replayed batch: fall back to per-task checked admission.
-            out: List[Tuple[ObjectID, ...]] = []
-            for spec in specs:
-                if self._admit_replayed_task(spec):
-                    self._m_tasks_submitted.inc()
-                    if self._trace_enabled:
-                        self.gcs.record_event(
-                            "task_submitted",
-                            task=spec.task_id.short(),
-                            name=function_name,
-                            t=time.perf_counter(),
-                        )
-                    self.graph.add_task(spec)
-                    node.local_scheduler.submit(spec)
-                out.append(spec.return_ids)
-            return out
-        events = None
-        if self._trace_enabled:
-            now = time.perf_counter()
-            events = [
-                (
-                    "task_submitted",
-                    dict(task=spec.task_id.short(), name=function_name, t=now),
-                )
-                for spec in specs
-            ]
-        self.gcs.add_tasks(specs, events=events, batched=batched)
+            specs = [spec for spec in specs if self._admit_replayed_task(spec)]
         self._m_tasks_submitted.inc(len(specs))
         for spec in specs:
             self.graph.add_task(spec)
-        node.local_scheduler.submit_many(specs)
-        return [spec.return_ids for spec in specs]
+        return specs
+
+    def _admit_replayed_task(self, spec: TaskSpec) -> bool:
+        """Existence check for a possibly-replayed submission.
+
+        Returns True if the task should be (re)placed: either it is new or
+        its previous execution is dead with lost outputs (its placement
+        then overwrites the row).  Returns False when its outputs still
+        exist or it is in flight on a live node — the caller returns the
+        deterministic futures as-is.
+        """
+        existing = self.gcs.get_task(spec.task_id)
+        if existing is None:
+            return True
+        if existing.status == TaskStatus.FINISHED and all(
+            self.transfer.live_locations(oid) for oid in spec.return_ids
+        ):
+            return False
+        if existing.status in (
+            TaskStatus.PENDING,
+            TaskStatus.SCHEDULED,
+            TaskStatus.RUNNING,
+        ):
+            running_node = (
+                self.transfer.node(existing.node_id) if existing.node_id else None
+            )
+            if running_node is not None and running_node.alive:
+                return False
+        return True
 
     def create_actor(
         self,
@@ -1090,17 +1051,10 @@ class Runtime:
                 retry_exceptions=retry_exceptions,
             )
 
-        # submit_method registers the task row itself, before the spec can
-        # reach the actor thread (which immediately updates its status).
+        # submit_method writes the task row, method-log entry and submit
+        # event before the spec can reach the actor thread.
         spec = self.actors.submit_method(build, actor_id)
         self._m_methods_submitted.inc()
-        if self._trace_enabled:
-            self.gcs.record_event(
-                "task_submitted",
-                task=spec.task_id.short(),
-                name=spec.function_name,
-                t=time.perf_counter(),
-            )
         self.graph.add_task(spec)
         return spec.return_ids
 

@@ -17,9 +17,8 @@ debugging tooling the paper describes riding on the GCS.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.common.lockwatch import make_lock
 from repro.common.ids import ActorID, ObjectID, TaskID
@@ -32,7 +31,7 @@ class EdgeType(enum.Enum):
     STATEFUL = "stateful"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: object  # TaskID or ObjectID
     dst: object
@@ -40,21 +39,20 @@ class Edge:
 
 
 class TaskGraph:
-    """An append-only computation graph with typed edges."""
+    """An append-only computation graph with typed edges.
+
+    Only the specs are stored, plus two indexes the hot paths query:
+    object -> producing task, and method -> its stateful predecessor.  The
+    edges are a pure function of those and are derived on demand, so the
+    graph costs no per-edge objects for lineage that is never inspected.
+    """
 
     def __init__(self):
         self._lock = make_lock("TaskGraph._lock")
         self._tasks: Dict[TaskID, TaskSpec] = {}
-        self._edges: List[Edge] = []
-        self._out: Dict[object, List[Edge]] = {}
-        self._in: Dict[object, List[Edge]] = {}
+        self._producer: Dict[ObjectID, TaskID] = {}
+        self._stateful_pred: Dict[TaskID, TaskID] = {}
         self._last_actor_task: Dict[ActorID, TaskID] = {}
-
-    def _add_edge(self, src, dst, kind: EdgeType) -> None:
-        edge = Edge(src, dst, kind)
-        self._edges.append(edge)
-        self._out.setdefault(src, []).append(edge)
-        self._in.setdefault(dst, []).append(edge)
 
     def add_task(self, spec: TaskSpec) -> None:
         """Record a task and all edges it induces."""
@@ -62,23 +60,26 @@ class TaskGraph:
             if spec.task_id in self._tasks:
                 return  # replayed task: the graph already has it
             self._tasks[spec.task_id] = spec
-            # Data edges in: argument objects → task.
-            for dep in spec.dependencies():
-                self._add_edge(dep, spec.task_id, EdgeType.DATA)
-            # Data edges out: task → return objects.
             for object_id in spec.return_ids:
-                self._add_edge(spec.task_id, object_id, EdgeType.DATA)
-            # Control edge: parent (submitting) task → this task.
-            if spec.parent_task_id is not None and not spec.parent_task_id.is_nil():
-                self._add_edge(spec.parent_task_id, spec.task_id, EdgeType.CONTROL)
-            # Stateful edge: previous method on the same actor → this one.
-            if spec.actor_id is not None and not spec.is_actor_creation:
+                self._producer[object_id] = spec.task_id
+            if spec.actor_id is not None:
+                # Stateful edge: previous method on the same actor -> this one.
                 previous = self._last_actor_task.get(spec.actor_id)
-                if previous is not None:
-                    self._add_edge(previous, spec.task_id, EdgeType.STATEFUL)
+                if previous is not None and not spec.is_actor_creation:
+                    self._stateful_pred[spec.task_id] = previous
                 self._last_actor_task[spec.actor_id] = spec.task_id
-            elif spec.is_actor_creation and spec.actor_id is not None:
-                self._last_actor_task[spec.actor_id] = spec.task_id
+
+    @staticmethod
+    def _edges_of(spec: TaskSpec, stateful_pred: Optional[TaskID]) -> List[Edge]:
+        task_id = spec.task_id
+        edges = [Edge(dep, task_id, EdgeType.DATA) for dep in spec.dependencies()]
+        edges.extend(Edge(task_id, oid, EdgeType.DATA) for oid in spec.return_ids)
+        parent = spec.parent_task_id
+        if parent is not None and not parent.is_nil():
+            edges.append(Edge(parent, task_id, EdgeType.CONTROL))
+        if stateful_pred is not None:
+            edges.append(Edge(stateful_pred, task_id, EdgeType.STATEFUL))
+        return edges
 
     # -- queries ---------------------------------------------------------------
 
@@ -91,41 +92,47 @@ class TaskGraph:
             return len(self._tasks)
 
     def edges(self, kind: Optional[EdgeType] = None) -> List[Edge]:
+        """Every edge, in task insertion order (optionally one kind)."""
         with self._lock:
-            if kind is None:
-                return list(self._edges)
-            return [e for e in self._edges if e.kind == kind]
+            specs = list(self._tasks.values())
+            preds = dict(self._stateful_pred)
+        out: List[Edge] = []
+        for spec in specs:
+            out.extend(
+                edge
+                for edge in self._edges_of(spec, preds.get(spec.task_id))
+                if kind is None or edge.kind == kind
+            )
+        return out
 
     def producer_of(self, object_id: ObjectID) -> Optional[TaskID]:
         with self._lock:
-            for edge in self._in.get(object_id, ()):
-                if edge.kind == EdgeType.DATA and isinstance(edge.src, TaskID):
-                    return edge.src
-            return None
+            return self._producer.get(object_id)
 
     def consumers_of(self, object_id: ObjectID) -> List[TaskID]:
         with self._lock:
             return [
-                e.dst
-                for e in self._out.get(object_id, ())
-                if e.kind == EdgeType.DATA
+                task_id
+                for task_id, spec in self._tasks.items()
+                if object_id in spec.dependencies()
             ]
 
     def predecessors_of(self, task_id: TaskID) -> List[TaskID]:
-        """Tasks that must *finish* before ``task_id`` can run: producers
-        of its data dependencies plus its stateful predecessor (control
+        """Tasks that must *finish* before ``task_id`` can run: its stateful
+        predecessor plus the producers of its data dependencies (control
         edges are excluded — a parent merely submits the child mid-run)."""
         with self._lock:
+            spec = self._tasks.get(task_id)
+            if spec is None:
+                return []
             out: List[TaskID] = []
-            for edge in self._in.get(task_id, ()):
-                if edge.kind == EdgeType.STATEFUL and isinstance(edge.src, TaskID):
-                    out.append(edge.src)
-                elif edge.kind == EdgeType.DATA and isinstance(edge.src, ObjectID):
-                    for producer_edge in self._in.get(edge.src, ()):
-                        if producer_edge.kind == EdgeType.DATA and isinstance(
-                            producer_edge.src, TaskID
-                        ):
-                            out.append(producer_edge.src)
+            previous = self._stateful_pred.get(task_id)
+            if previous is not None:
+                out.append(previous)
+            for dep in spec.dependencies():
+                producer = self._producer.get(dep)
+                if producer is not None:
+                    out.append(producer)
             return out
 
     def task_ids(self) -> List[TaskID]:
@@ -136,9 +143,9 @@ class TaskGraph:
         """Tasks invoked by ``task_id`` (control edges out)."""
         with self._lock:
             return [
-                e.dst
-                for e in self._out.get(task_id, ())
-                if e.kind == EdgeType.CONTROL
+                child
+                for child, spec in self._tasks.items()
+                if spec.parent_task_id == task_id
             ]
 
     def stateful_chain(self, actor_id: ActorID) -> List[TaskID]:
@@ -172,23 +179,23 @@ class TaskGraph:
         with self._lock:
             for task_id, spec in self._tasks.items():
                 lines.append(
-                    f'  "{task_id.hex()[:8]}" [shape=box label="{spec.function_name}"];'
+                    f'  "{task_id.short()}" [shape=box label="{spec.function_name}"];'
                 )
-            seen_objects = set()
-            for edge in self._edges:
-                for endpoint in (edge.src, edge.dst):
-                    if isinstance(endpoint, ObjectID) and endpoint not in seen_objects:
-                        seen_objects.add(endpoint)
-                        lines.append(
-                            f'  "{endpoint.hex()[:8]}" [shape=ellipse label="obj"];'
-                        )
-                style = {
-                    EdgeType.DATA: "solid",
-                    EdgeType.CONTROL: "dashed",
-                    EdgeType.STATEFUL: "bold",
-                }[edge.kind]
-                lines.append(
-                    f'  "{edge.src.hex()[:8]}" -> "{edge.dst.hex()[:8]}" [style={style}];'
-                )
+        seen_objects = set()
+        for edge in self.edges():
+            for endpoint in (edge.src, edge.dst):
+                if isinstance(endpoint, ObjectID) and endpoint not in seen_objects:
+                    seen_objects.add(endpoint)
+                    lines.append(
+                        f'  "{endpoint.short()}" [shape=ellipse label="obj"];'
+                    )
+            style = {
+                EdgeType.DATA: "solid",
+                EdgeType.CONTROL: "dashed",
+                EdgeType.STATEFUL: "bold",
+            }[edge.kind]
+            lines.append(
+                f'  "{edge.src.short()}" -> "{edge.dst.short()}" [style={style}];'
+            )
         lines.append("}")
         return "\n".join(lines)

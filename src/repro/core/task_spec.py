@@ -28,7 +28,7 @@ class ArgRef:
         return f"ArgRef({self.object_id.hex()[:10]})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
     """Immutable description of one task (or actor method / creation)."""
 
@@ -56,6 +56,9 @@ class TaskSpec:
     # recovers *lost objects* by replaying already-successful tasks.
     max_retries: int = 0
     retry_exceptions: Optional[Tuple[type, ...]] = None
+    _return_ids: Optional[Tuple[ObjectID, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.num_returns < 0:
@@ -73,9 +76,9 @@ class TaskSpec:
     def return_ids(self) -> Tuple[ObjectID, ...]:
         # Memoized: deriving a return ID hashes the task ID, and the hot
         # path asks for the tuple several times per task (submit, dispatch,
-        # output write, get).  Frozen dataclasses still carry a __dict__,
-        # so the memo bypasses the blocked __setattr__.
-        cached = self.__dict__.get("_return_ids")
+        # output write, get).  The memo slot bypasses the frozen
+        # __setattr__.
+        cached = self._return_ids
         if cached is None:
             cached = tuple(
                 ObjectID.for_task_return(self.task_id, i)

@@ -393,6 +393,10 @@ class ObjectFetcher:
         # re-enters our own subscription callback on this thread.
         state = {"done": False}
         lock = make_rlock("ObjectFetcher.ensure_local.lock")
+        # Bound before subscribing: a publication on another thread may run
+        # the callback before ``subscribe`` returns; the checked path below
+        # then finds the copy and unsubscribes with the real handle.
+        unsubscribe: Callable[[], None] = lambda: None  # noqa: E731
 
         def try_transfer() -> bool:
             if not node.alive:

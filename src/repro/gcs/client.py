@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.lockwatch import make_rlock
 from repro.common.ids import ActorID, FunctionID, NodeID, ObjectID, TaskID
@@ -262,116 +262,59 @@ class GlobalControlStore:
     # Task table (durable lineage)
     # ------------------------------------------------------------------
 
-    def add_task(self, task_id: TaskID, spec: Any, check_existing: bool = True) -> None:
-        """Record a task row.  ``check_existing=False`` skips the replay
-        read — only valid for *first* submissions (a fresh deterministic
-        task ID that cannot already be in the table); replayed parents must
-        keep the check so lineage stays stable (exactly-once bookkeeping)."""
-        if check_existing:
-            existing = self.kv.get((_TASK, task_id))
-            if existing is not None:
-                # Replay of an already-recorded task: keep the original spec
-                # so lineage stays stable.
-                return
+    def add_task(self, task_id: TaskID, spec: Any) -> None:
+        """Record a PENDING task row unless one exists: a replay keeps the
+        original spec, so lineage stays stable (exactly-once bookkeeping)."""
+        if self.kv.get((_TASK, task_id)) is not None:
+            return
         self.kv.put(
             (_TASK, task_id),
             TaskTableEntry(task_id=task_id, spec=spec, status=TaskStatus.PENDING),
         )
 
-    def add_tasks(
+    def write_tasks(
         self,
-        specs: List[Any],
+        rows: List[Tuple[Any, TaskStatus, Optional[NodeID]]],
         events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
+        logs: Sequence[Tuple[Any, Any]] = (),
         batched: bool = True,
     ) -> None:
-        """Record many first-submission task rows (plus their
-        ``task_submitted`` trace events) in coalesced shard writes.
+        """Write task rows ``[(spec, status, node_id), ...]``, appends to
+        other logs ``[(key, entry), ...]`` (an actor's method log), and
+        trace events ``[(category, payload), ...]`` in one coalesced write.
 
-        The submit-side mirror of :meth:`finish_task`: one
-        :meth:`ShardedKV.batch` call groups every row into one chain write
-        per shard instead of one round-trip per task, and the submit events
-        ride in the same batch.  Events are seq-stamped here in submission
-        order, so the cluster timeline ordering invariant holds exactly as
-        it does for per-op writes.  All specs must be first submissions
-        (see :meth:`add_task`); ``batched=False`` issues the same writes
-        per-op (the pre-batching path, kept for benchmarks/ablation).
+        The one task-row write of the submit and placement paths: callers
+        hold the specs, so each row is built directly (no read-modify-write)
+        in the state the caller just decided, and one :meth:`ShardedKV.batch`
+        carries every row and event — one chain round-trip per shard, with
+        the per-shard flushes issued in parallel.  Only valid for rows whose
+        status the caller owns (a fresh submission, or a task placed on the
+        caller's node).  Events are seq-stamped in list order, so timeline
+        ordering holds.  ``batched=False`` issues the same writes one chain
+        call each (the per-op path, kept for benchmarks/ablation).
         """
-        if not batched:
-            for spec in specs:
-                self.add_task(spec.task_id, spec, check_existing=False)
-            for category, payload in events or ():
-                self.record_event(category, **payload)
-            return
-        ops: List[tuple] = []
-        for spec in specs:
-            ops.append((
+        ops: List[tuple] = [
+            (
                 "put",
                 (_TASK, spec.task_id),
-                TaskTableEntry(
-                    task_id=spec.task_id, spec=spec, status=TaskStatus.PENDING
-                ),
-            ))
+                TaskTableEntry(spec.task_id, spec, status, node_id),
+            )
+            for spec, status, node_id in rows
+        ]
+        ops.extend(("append", key, entry) for key, entry in logs)
         for category, payload in events or ():
             ops.append((
                 "append",
                 (_EVENT, category),
                 self._stamped_event(category, payload),
             ))
-        if ops:
-            self.kv.batch(ops)
-
-    def set_task_states(
-        self,
-        updates: List[Tuple[Any, TaskStatus, Optional[NodeID]]],
-        events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
-        batched: bool = True,
-    ) -> None:
-        """Write task rows for ``[(spec, status, node_id), ...]`` plus trace
-        events in one coalesced shard write.
-
-        The scheduler-side mirror of :meth:`finish_task`: a local scheduler
-        moving a batch of queued tasks to SCHEDULED/RUNNING already holds
-        their specs, so the rows are rebuilt directly — no per-row
-        read-modify-write round-trip — and every row plus the batch's
-        ``task_scheduled``/``task_inputs_ready`` events collapse into one
-        chain write per shard.  Only valid for tasks whose status the
-        caller currently owns (placed/queued on its node); events are
-        seq-stamped in list order so timeline ordering holds.
-        ``batched=False`` issues the same writes per-op.
-        """
         if not batched:
-            for spec, status, node_id in updates:
-                self.kv.put(
-                    (_TASK, spec.task_id),
-                    TaskTableEntry(
-                        task_id=spec.task_id,
-                        spec=spec,
-                        status=status,
-                        node_id=node_id,
-                    ),
-                )
-            for category, payload in events or ():
-                self.record_event(category, **payload)
-            return
-        ops: List[tuple] = []
-        for spec, status, node_id in updates:
-            ops.append((
-                "put",
-                (_TASK, spec.task_id),
-                TaskTableEntry(
-                    task_id=spec.task_id,
-                    spec=spec,
-                    status=status,
-                    node_id=node_id,
-                ),
-            ))
-        for category, payload in events or ():
-            ops.append((
-                "append",
-                (_EVENT, category),
-                self._stamped_event(category, payload),
-            ))
-        if ops:
+            for op, key, value in ops:
+                if op == "put":
+                    self.kv.put(key, value)
+                else:
+                    self.kv.append(key, value)
+        elif ops:
             self.kv.batch(ops)
 
     def update_task_status(
@@ -469,9 +412,7 @@ class GlobalControlStore:
     # ------------------------------------------------------------------
 
     def _stamped_event(self, category: str, payload: Dict[str, Any]) -> EventRecord:
-        return EventRecord.make(category, **payload).stamp(
-            next(self._event_seq), time.time()
-        )
+        return EventRecord(category, payload, next(self._event_seq), time.time())
 
     def record_event(self, category: str, **payload: Any) -> None:
         self.kv.append((_EVENT, category), self._stamped_event(category, payload))

@@ -65,6 +65,20 @@ class ShardedKV:
             }
             for index in range(num_shards)
         ]
+        # One count per ReplicatedChain call — each pays one hop per chain
+        # member, whether it carries one key or a whole batch group.
+        self._round_trips = [
+            {
+                op: metrics.counter(
+                    "gcs_round_trips_total",
+                    "Chain calls per shard (each pays one hop per member)",
+                    shard=str(index),
+                    op=op,
+                )
+                for op in ("get", "put", "append", "write_batch")
+            }
+            for index in range(num_shards)
+        ]
         self._publish_counters = [
             metrics.counter(
                 "gcs_publishes_total",
@@ -109,17 +123,20 @@ class ShardedKV:
     def put(self, key: Any, value: Any) -> None:
         index = _shard_of(key, len(self.shards))
         self.shards[index].put(key, value)
+        self._round_trips[index]["put"].inc()
         self._op_counters[index]["put"].inc()
         self._publish_counters[index].inc()
 
     def get(self, key: Any, default: Any = None) -> Any:
         index = _shard_of(key, len(self.shards))
         self._op_counters[index]["get"].inc()
+        self._round_trips[index]["get"].inc()
         return self.shards[index].get(key, default)
 
     def append(self, key: Any, entry: Any) -> None:
         index = _shard_of(key, len(self.shards))
         self.shards[index].append(key, entry)
+        self._round_trips[index]["append"].inc()
         self._op_counters[index]["append"].inc()
         self._publish_counters[index].inc()
 
@@ -163,6 +180,7 @@ class ShardedKV:
                 counters[op].inc()
             self._publish_counters[index].inc(len(group))
             self._batch_counters[index].inc()
+            self._round_trips[index]["write_batch"].inc()
             self._m_batch_size.observe(len(group))
 
     def log(self, key: Any) -> List[Any]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional
 
 from repro.common.ids import ActorID, NodeID, ObjectID, TaskID
 
@@ -28,7 +28,7 @@ class TaskStatus(enum.Enum):
     CANCELLED = "cancelled"  # dequeued or cooperatively stopped via cancel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectTableEntry:
     """Metadata for one immutable object.
 
@@ -43,7 +43,7 @@ class ObjectTableEntry:
     locations: FrozenSet[NodeID] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskTableEntry:
     """A task's durable record: its spec (lineage) and current status."""
 
@@ -53,7 +53,7 @@ class TaskTableEntry:
     node_id: Optional[NodeID] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActorTableEntry:
     """An actor's durable record used for reconstruction.
 
@@ -70,7 +70,7 @@ class ActorTableEntry:
     checkpoint_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One entry of the GCS event log.
 
@@ -79,17 +79,19 @@ class EventRecord:
     *timeline* (dashboard ``/events``) a total order and a pagination
     cursor across categories.  ``ts`` is the wall-clock record time.
     Both default to zero so rows written by older code (or constructed
-    directly in tests) remain valid.
+    directly in tests) remain valid.  ``payload`` is the recorded keyword
+    dict itself (one allocation per event, since the log keeps every
+    event); records are never hashed.
     """
 
     category: str
-    payload: Tuple[Tuple[str, Any], ...]
+    payload: Dict[str, Any]
     seq: int = 0
     ts: float = 0.0
 
     @classmethod
     def make(cls, category: str, **payload: Any) -> "EventRecord":
-        return cls(category=category, payload=tuple(sorted(payload.items())))
+        return cls(category=category, payload=payload)
 
     def stamp(self, seq: int, ts: float) -> "EventRecord":
         """A copy of this record carrying a timeline sequence number."""

@@ -6,7 +6,9 @@ spans from ``task_finished`` events and exports them as Chrome trace JSON
 (loadable in ``chrome://tracing`` / Perfetto) or as an ASCII lane chart.
 
 With lifecycle tracing enabled (the default), the log also carries
-``task_submitted`` / ``task_scheduled`` / ``task_inputs_ready`` events;
+``task_submitted`` / ``task_scheduled`` / ``task_inputs_ready`` events
+(a fast-path dispatch writes none of the last; its ``task_scheduled``
+time stands in for it);
 :meth:`Timeline.lifecycles` stitches all four into causal per-task
 breakdowns (submit → schedule → fetch → execute) — the per-task overhead
 decomposition that :mod:`repro.tools.critical_path` builds on.
@@ -152,6 +154,14 @@ class Timeline:
         scheduled = by_task("task_scheduled")
         ready = by_task("task_inputs_ready")
         finished = by_task("task_finished")
+        # A fast-path dispatch writes no task_inputs_ready: its inputs were
+        # local when it was scheduled, so that is its inputs-ready time.
+        for task, entries in scheduled.items():
+            fast = [p for p in entries if p.get("policy") == "fastpath"]
+            if fast:
+                merged = ready.setdefault(task, [])
+                merged.extend(fast)
+                merged.sort(key=lambda p: p.get("t", 0.0))
 
         out: List[TaskLifecycle] = []
         tasks = set(submitted) | set(scheduled) | set(ready) | set(finished)

@@ -84,3 +84,27 @@ class TestFetcher:
         ref = produce.remote()
         value = repro.get(ref, timeout=10)
         assert value == "late"
+
+    def test_publication_racing_the_subscription(self, runtime):
+        """A location published on another thread can run the fetch's
+        callback before ``subscribe`` returns its handle; the fetch must
+        still complete and leave no subscription behind."""
+        ref = repro.put(np.zeros(10))
+        dst = [n for n in runtime.nodes() if n is not runtime.driver_node][0]
+        src_id = runtime.driver_node.node_id
+        gcs = runtime.gcs
+        subscribe = gcs.subscribe_object_locations
+
+        def racing_subscribe(object_id, callback):
+            unsubscribe = subscribe(object_id, callback)
+            callback("add", src_id)  # the racing publication
+            return unsubscribe
+
+        before = gcs.num_subscriptions()
+        gcs.subscribe_object_locations = racing_subscribe
+        try:
+            runtime.fetcher.ensure_local(ref.object_id, dst)
+        finally:
+            gcs.subscribe_object_locations = subscribe
+        assert dst.store.contains(ref.object_id)
+        assert gcs.num_subscriptions() == before
